@@ -25,7 +25,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from ..common.clock import Clock
@@ -334,8 +334,13 @@ class BrokerCore:
         self.ledger = CostLedger()
         self._tasklets: dict[str, _TaskletState] = {}
         self._by_execution: dict[ExecutionId, str] = {}
-        #: Tasklet keys with queued replicas, in FIFO order of first queueing.
-        self._backlog: list[str] = []
+        #: Tasklet keys with queued replicas, in FIFO order of first
+        #: queueing, plus the same keys as a set for O(1) membership.
+        self._backlog: deque[str] = deque()
+        self._backlogged: set[str] = set()
+        #: Σ ``pending_replicas`` over live tasklets, kept exact at every
+        #: change (see :attr:`queued_replicas`).
+        self._queued = 0
         #: Durability: journal (may be None), terminal outcomes by tasklet
         #: key (LRU-bounded, serves idempotent resubmits), and the result
         #: memoization cache by computation identity.
@@ -426,12 +431,8 @@ class BrokerCore:
             out.extend(self._federation_tick(now))
         out.extend(self._drain_backlog())
         if self._metrics is not None:
-            # Gauges are sampled once per tick, not per message, so the
-            # O(tasklets) backlog sum stays off the message hot path.
             self._metrics.pending_tasklets.set(len(self._tasklets))
-            self._metrics.backlog_replicas.set(
-                sum(state.pending_replicas for state in self._tasklets.values())
-            )
+            self._metrics.backlog_replicas.set(self._queued)
             self._metrics.providers_alive.set(len(self.registry.alive_providers()))
         self._run_watchdog(now)
         return out
@@ -638,7 +639,7 @@ class BrokerCore:
             or not self.federation.config.forward_when_saturated
         ):
             return None
-        if self.registry.views(require_free_slot=True):
+        if self.registry.free_slots:
             return None  # local capacity exists; no reason to forward
         return self.federation.choose_peer()
 
@@ -899,26 +900,31 @@ class BrokerCore:
                 )
             ]
         key = f"{src}/{spec.workflow_id}"
+        fingerprint = spec.fingerprint()
         outcome = self._wf_completed.get(key)
-        if outcome is not None:
+        # Outcomes journalled before fingerprints were stored carry none
+        # and are redelivered unchecked.
+        if outcome is not None and outcome.get("spec_fingerprint") in (
+            None,
+            fingerprint,
+        ):
             # Idempotent resubmit of a finished workflow (consumer
             # reconnected, or the broker restarted between the terminal
             # message and the consumer seeing it): redeliver the stored
             # outcome, run nothing.
             return self._redeliver_workflow(outcome, src)
         existing = self._workflows.get(key)
-        if existing is not None:
-            if existing.spec_fingerprint == spec.fingerprint():
-                # Same graph resubmitted while in flight: re-ack and let
-                # the running instance complete to this consumer.
-                return [
-                    self._send(
-                        WorkflowAck(
-                            workflow_id=spec.workflow_id, accepted=True
-                        ),
-                        src,
-                    )
-                ]
+        if existing is not None and existing.spec_fingerprint == fingerprint:
+            # Same graph resubmitted while in flight: re-ack and let the
+            # running instance complete to this consumer.
+            return [
+                self._send(
+                    WorkflowAck(workflow_id=spec.workflow_id, accepted=True),
+                    src,
+                )
+            ]
+        if existing is not None or outcome is not None:
+            # The id is taken by a different graph, running or finished.
             return [
                 self._send(
                     WorkflowAck(
@@ -937,7 +943,7 @@ class BrokerCore:
             spec=spec,
             scheduler=DagScheduler(spec),
             submitted_at=now,
-            spec_fingerprint=spec.fingerprint(),
+            spec_fingerprint=fingerprint,
         )
         if self._tracer is not None:
             parent = TraceContext.from_dict(trace)
@@ -1345,6 +1351,9 @@ class BrokerCore:
             "dependents": list(dependents or []),
             "nodes_total": len(wf.spec.nodes),
             "nodes_memoized": wf.nodes_memoized,
+            # Lets a resubmit of this id with a different graph be told
+            # apart from an idempotent one, across restarts too.
+            "spec_fingerprint": wf.spec_fingerprint,
         }
         self._wf_completed[wf.key] = outcome
         self._wf_completed.move_to_end(wf.key)
@@ -1474,6 +1483,11 @@ class BrokerCore:
         """Workflows admitted but not yet terminal (for tests/monitoring)."""
         return len(self._workflows)
 
+    @property
+    def queued_replicas(self) -> int:
+        """Replicas waiting in the backlog: Σ ``pending_replicas``, O(1)."""
+        return self._queued
+
     # -- execution lifecycle ------------------------------------------------------
 
     def _issue(
@@ -1490,7 +1504,14 @@ class BrokerCore:
         running = {
             outstanding.provider_id for outstanding in state.outstanding.values()
         }
-        all_views = self.registry.views(require_free_slot=True)
+        # No free slot anywhere: skip the snapshot.  Strategies return []
+        # for an empty pool without touching their RNG or cursor, so this
+        # changes no placement decision.
+        all_views = (
+            self.registry.views(require_free_slot=True)
+            if self.registry.free_slots
+            else []
+        )
         views = [
             view
             for view in all_views
@@ -1503,7 +1524,7 @@ class BrokerCore:
             views = [
                 view for view in all_views if view.provider_id not in running
             ]
-        chosen = self.strategy.select(views, count, state.qoc)
+        chosen = self.strategy.select(views, count, state.qoc) if views else []
         out: list[Envelope] = []
         now = self.clock.now()
         placed = 0
@@ -1572,19 +1593,18 @@ class BrokerCore:
             ).inc(placed)
         missing = count - placed
         if missing > 0:
-            queued_total = sum(
-                s.pending_replicas for s in self._tasklets.values()
-            )
-            allowed = max(0, self.config.max_queued_replicas - queued_total)
+            allowed = max(0, self.config.max_queued_replicas - self._queued)
             to_queue = min(missing, allowed)
             overflow = missing - to_queue
             if to_queue > 0:
                 state.pending_replicas += to_queue
+                self._queued += to_queue
                 if not requeue:
                     self.stats.replicas_queued += to_queue
                     if self._metrics is not None:
                         self._metrics.replicas_queued.inc(to_queue)
-                if state.key not in self._backlog:
+                if state.key not in self._backlogged:
+                    self._backlogged.add(state.key)
                     self._backlog.append(state.key)
             if overflow > 0:
                 # The backlog is full.  Dropping the replicas silently
@@ -1619,21 +1639,34 @@ class BrokerCore:
         return out
 
     def _drain_backlog(self) -> list[Envelope]:
-        """Try to place queued replicas (FIFO across Tasklets)."""
-        if not self._backlog:
+        """Try to place queued replicas (FIFO across Tasklets).
+
+        Stops as soon as no provider has a free slot: the keys not yet
+        visited could not be placed anyway, so a drain costs O(free
+        slots + 1) placement attempts, not O(backlog), plus one per
+        visited tasklet that no free slot can serve (DESIGN.md §6).
+        Keys that stay queued keep their place at the head, in order.
+        """
+        backlog = self._backlog
+        if not backlog or not self.registry.free_slots:
             return []
         out: list[Envelope] = []
         still_waiting: list[str] = []
-        for key in self._backlog:
+        while backlog and self.registry.free_slots:
+            # The key stays in ``_backlogged`` while it is retried, so
+            # ``_issue`` does not append it a second time.
+            key = backlog.popleft()
             state = self._tasklets.get(key)
-            if state is None or state.done or state.pending_replicas == 0:
-                continue
-            wanted = state.pending_replicas
-            state.pending_replicas = 0
-            out.extend(self._issue(state, wanted, requeue=True))
-            if state.pending_replicas > 0:
-                still_waiting.append(key)
-        self._backlog = still_waiting
+            if state is not None and not state.done and state.pending_replicas:
+                wanted = state.pending_replicas
+                state.pending_replicas = 0
+                self._queued -= wanted
+                out.extend(self._issue(state, wanted, requeue=True))
+                if state.pending_replicas > 0:
+                    still_waiting.append(key)
+                    continue
+            self._backlogged.discard(key)
+        backlog.extendleft(reversed(still_waiting))
         return out
 
     def _on_result(self, body: ExecutionResult) -> list[Envelope]:
@@ -1867,6 +1900,7 @@ class BrokerCore:
                 )
             )
         state.outstanding.clear()
+        self._queued -= state.pending_replicas
         state.pending_replicas = 0
         local_cost = self.ledger.pop_cost_of(state.key)
         if cost is None:
@@ -2076,7 +2110,7 @@ class BrokerCore:
                     origin,
                 )
             ]
-        if not self.registry.views(require_free_slot=True):
+        if not self.registry.free_slots:
             # The gossip view the origin routed on is stale; rejecting
             # (rather than queueing) sends the work back to a broker that
             # holds the durable admission.
@@ -2386,11 +2420,9 @@ class BrokerCore:
             sent_at=now,
             providers_total=len(records),
             providers_alive=sum(1 for record in records if record.alive),
-            free_slots=sum(view.free_slots for view in self.registry.views()),
+            free_slots=self.registry.free_slots,
             pending_tasklets=len(self._tasklets),
-            backlog_replicas=sum(
-                state.pending_replicas for state in self._tasklets.values()
-            ),
+            backlog_replicas=self._queued,
             grades=grades,
         )
 

@@ -5,6 +5,12 @@ capacity, self-benchmark score, price), liveness (heartbeat-based failure
 detection), load (executions outstanding), and learned behaviour (EWMA of
 observed execution speed, success/failure history).  Scheduling strategies
 consume :class:`ProviderView` snapshots from here.
+
+The registry keeps two summaries exact as records change, so the
+broker's placement path costs O(providers) per attempt, never
+O(backlog): the total of free slots over alive providers (an O(1)
+"nothing placeable" test) and one cached view per alive provider, in a
+cached id order, rebuilt only for records that changed.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ from ..common.stats import EwmaTracker
 #: A provider missing this many heartbeat intervals is declared dead.
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
 DEFAULT_HEARTBEAT_TOLERANCE = 3.0  # intervals
+
+#: Record fields a :class:`ProviderView` or the free-slot total depends on
+#: (``observed_speed`` only changes alongside ``completed``).
+_SUMMARISED = frozenset({"alive", "outstanding", "completed", "failed"})
 
 
 @dataclass
@@ -37,6 +47,24 @@ class ProviderRecord:
     completed: int = 0
     failed: int = 0
     observed_speed: EwmaTracker = field(default_factory=lambda: EwmaTracker(alpha=0.3))
+
+    #: Registry whose summaries this record feeds (None when detached).
+    #: A class attribute, not a field: dataclass construction runs before
+    #: the registry attaches the record.
+    _registry = None
+
+    def __setattr__(self, name: str, value) -> None:
+        registry = self._registry
+        if registry is None or name not in _SUMMARISED:
+            object.__setattr__(self, name, value)
+            return
+        # Every write, from the broker or anyone else, keeps the
+        # registry's free-slot total and view cache exact.
+        registry._untally(self)
+        object.__setattr__(self, name, value)
+        registry._tally(self)
+        if name == "alive":
+            registry._order = None
 
     @property
     def free_slots(self) -> int:
@@ -115,6 +143,14 @@ class ProviderRegistry:
         #: queues them locally.
         self.pipeline_depth = pipeline_depth
         self._providers: dict[NodeId, ProviderRecord] = {}
+        #: Σ free slots (pipeline depth included) over alive providers.
+        self._free_slots = 0
+        #: Alive records in id order; None until rebuilt after a
+        #: membership or liveness change.
+        self._order: list[ProviderRecord] | None = None
+        #: View per alive provider; an entry is dropped whenever its
+        #: record changes and rebuilt on the next :meth:`views`.
+        self._views: dict[NodeId, ProviderView] = {}
 
     # -- membership ----------------------------------------------------------
 
@@ -147,12 +183,18 @@ class ProviderRegistry:
         )
         # Re-registration replaces the old record: a provider that crashed
         # and came back starts with a clean slate of outstanding work.
+        self._detach(self._providers.get(provider_id))
         self._providers[provider_id] = record
+        record._registry = self
+        self._tally(record)
+        self._order = None
         return record
 
     def unregister(self, provider_id: NodeId) -> ProviderRecord | None:
         """Remove a provider (graceful leave); returns its record."""
-        return self._providers.pop(provider_id, None)
+        record = self._providers.pop(provider_id, None)
+        self._detach(record)
+        return record
 
     def get(self, provider_id: NodeId) -> ProviderRecord | None:
         return self._providers.get(provider_id)
@@ -200,6 +242,36 @@ class ProviderRegistry:
                 newly_dead.append(record.provider_id)
         return newly_dead
 
+    # -- exact summaries --------------------------------------------------------
+
+    @property
+    def free_slots(self) -> int:
+        """Free slots (pipeline depth included) over all alive providers.
+
+        Zero means no placement can succeed, whatever the backlog holds.
+        """
+        return self._free_slots
+
+    def _free_of(self, record: ProviderRecord) -> int:
+        return max(0, record.capacity + self.pipeline_depth - record.outstanding)
+
+    def _tally(self, record: ProviderRecord) -> None:
+        if record.alive:
+            self._free_slots += self._free_of(record)
+
+    def _untally(self, record: ProviderRecord) -> None:
+        if record.alive:
+            self._free_slots -= self._free_of(record)
+            self._views.pop(record.provider_id, None)
+
+    def _detach(self, record: ProviderRecord | None) -> None:
+        """Stop a replaced or removed record feeding the summaries."""
+        if record is None:
+            return
+        self._untally(record)
+        record._registry = None
+        self._order = None
+
     # -- snapshots for scheduling -------------------------------------------------
 
     def alive_providers(self) -> list[ProviderRecord]:
@@ -215,25 +287,28 @@ class ProviderRegistry:
 
         Stable ordering keeps strategy decisions deterministic for a given
         registry state, which the simulator's reproducibility relies on.
+        Only views whose record changed since the last call are rebuilt,
+        so a placement costs one rebuilt view, not a fresh snapshot.
         """
-        views = [
-            ProviderView(
-                provider_id=record.provider_id,
-                device_class=record.device_class,
-                capacity=record.capacity,
-                free_slots=max(
-                    0,
-                    record.capacity + self.pipeline_depth - record.outstanding,
-                ),
-                effective_speed=record.effective_speed,
-                reliability=record.reliability,
-                price=record.price,
-                outstanding=record.outstanding,
-            )
-            for record in sorted(
+        if self._order is None:
+            self._order = sorted(
                 self.alive_providers(), key=lambda item: item.provider_id
             )
-        ]
-        if require_free_slot:
-            views = [view for view in views if view.free_slots > 0]
+        cache = self._views
+        views = []
+        for record in self._order:
+            view = cache.get(record.provider_id)
+            if view is None:
+                view = cache[record.provider_id] = ProviderView(
+                    provider_id=record.provider_id,
+                    device_class=record.device_class,
+                    capacity=record.capacity,
+                    free_slots=self._free_of(record),
+                    effective_speed=record.effective_speed,
+                    reliability=record.reliability,
+                    price=record.price,
+                    outstanding=record.outstanding,
+                )
+            if view.free_slots > 0 or not require_free_slot:
+                views.append(view)
         return views

@@ -20,6 +20,8 @@ from repro.transport.message import (
 )
 from repro.tvm.compiler import compile_source
 
+from .invariants import assert_summaries_exact
+
 PROGRAM = compile_source("func main(x: int) -> int { return x; }")
 
 
@@ -163,6 +165,7 @@ class TestFlapRecovery:
         assert len(reissues) == 1
         assert reissues[0][0] in (other, first_dst)
         assert harness.broker.stats.executions_lost == 1
+        assert_summaries_exact(harness.broker)
 
     def test_fresh_registration_does_not_fail_anything(self):
         harness = Harness()
@@ -188,6 +191,7 @@ class TestFlapRecovery:
         assert record.outstanding == 1  # the re-issue, not the lost one
         assert harness.broker.stats.executions_lost == 1
         assert len(bodies(replies, AssignExecution)) == 1
+        assert_summaries_exact(harness.broker)
 
     def test_reregistration_single_attempt_fails_tasklet(self):
         # max_attempts=1: flap recovery has no budget left to re-issue,
@@ -342,6 +346,7 @@ class TestBacklogOverflow:
         assert "backlog full" in completions[0].error
         assert harness.broker.stats.replicas_overflowed == 1
         assert harness.broker.pending_tasklets == 0
+        assert_summaries_exact(harness.broker)
 
     def test_overflow_only_affects_new_work(self):
         harness = Harness(
@@ -353,6 +358,8 @@ class TestBacklogOverflow:
         completions = bodies(second, TaskletComplete)
         assert len(completions) == 1 and not completions[0].ok
         assert harness.broker.pending_tasklets == 1  # the queued one lives on
+        assert harness.broker.queued_replicas == 1
+        assert_summaries_exact(harness.broker)
 
 
 class TestSilenceDeathAccounting:
@@ -428,3 +435,4 @@ class TestBacklogUnderFailure:
         # A new provider arrives; the queued replica is placed.
         replies = harness.register("p2")
         assert len(bodies(replies, AssignExecution)) == 1
+        assert_summaries_exact(harness.broker)

@@ -24,6 +24,8 @@ from repro.transport.message import (
 )
 from repro.tvm.compiler import compile_source
 
+from .invariants import assert_summaries_exact
+
 PROGRAM = compile_source("func main(x: int) -> int { return x + 1; }")
 
 
@@ -99,12 +101,15 @@ class TestJournalRecovery:
         second = Harness(path)
         assert second.broker.stats.tasklets_recovered == 1
         assert second.broker.pending_tasklets == 1
+        assert second.broker.queued_replicas == 1
+        assert_summaries_exact(second.broker)
         # A provider joining the new incarnation receives the recovered work.
         replies = second.register()
         assigns = bodies(replies, AssignExecution)
         assert len(assigns) == 1 and assigns[0].tasklet_id == "tl-1"
         completions = bodies(second.complete(assigns[0]), TaskletComplete)
         assert completions[0].ok and completions[0].value == 8
+        assert_summaries_exact(second.broker)
         second.close()
 
     def test_completed_tasklet_not_rerun_after_restart(self, tmp_path):
@@ -127,6 +132,7 @@ class TestJournalRecovery:
         assert completions[0].executions == []
         assert second.broker.stats.executions_issued == 0
         assert second.broker.stats.completions_redelivered == 1
+        assert_summaries_exact(second.broker)
         second.close()
 
     def test_recovery_tolerates_truncated_tail(self, tmp_path):

@@ -30,6 +30,8 @@ from repro.transport.message import (
 )
 from repro.tvm.compiler import compile_source
 
+from .invariants import assert_summaries_exact
+
 PROGRAM = compile_source("func main(x: int) -> int { return x * 2; }")
 
 
@@ -352,6 +354,8 @@ class TestForwarding:
         state = fed.cores["b1"]._tasklets[f"c1/{tasklet_id}"]
         assert state.forwarded_to is None
         assert state.pending_replicas == 1
+        for core in fed.cores.values():
+            assert_summaries_exact(core)
 
 
 class TestPeerLoss:
@@ -377,6 +381,7 @@ class TestPeerLoss:
         assert len(completes) == 1 and completes[0].ok
         completion = fed.cores["b1"]._completed[f"c1/{tasklet_id}"]
         assert completion.executed_by == "b1"
+        assert_summaries_exact(fed.cores["b1"])
 
     def test_epoch_change_reclaims_forwarded_work(self):
         fed = FedHarness()
@@ -388,6 +393,7 @@ class TestPeerLoss:
         fed.restart("b2", epoch="b2-epoch2")
         fed.tick_all()
         assert fed.cores["b1"].stats.forwards_reclaimed == 1
+        assert_summaries_exact(fed.cores["b1"])
 
     def test_late_forward_complete_after_reclaim_resolves_once(self):
         fed = FedHarness()
@@ -415,6 +421,7 @@ class TestPeerLoss:
         )
         assert core.stats.tasklets_completed == 1
         assert core._completed[f"c1/{tasklet_id}"].value == 42
+        assert_summaries_exact(core)
 
 
 class TestFailoverResubmit:

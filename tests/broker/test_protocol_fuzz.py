@@ -24,6 +24,8 @@ from repro.transport.message import (
 )
 from repro.tvm.compiler import compile_source
 
+from .invariants import assert_summaries_exact
+
 PROGRAM = compile_source("func main(x: int) -> int { return x; }")
 PROVIDERS = ["p0", "p1", "p2"]
 CONSUMERS = ["c0", "c1"]
@@ -76,6 +78,7 @@ def _actions():
 
 
 def _invariants(broker: BrokerCore) -> None:
+    assert_summaries_exact(broker)
     for record in broker.registry._providers.values():
         assert record.outstanding >= 0
         assert record.capacity >= 1

@@ -151,3 +151,30 @@ class TestViews:
         register(registry, "idle", capacity=1)
         views = registry.views(require_free_slot=True)
         assert [view.provider_id for view in views] == ["idle"]
+
+    def test_free_slot_total_and_views_track_every_change(self):
+        registry = ProviderRegistry(pipeline_depth=1)
+        a = register(registry, "a", capacity=2)
+        register(registry, "b", capacity=1)
+        assert registry.free_slots == 3 + 2
+        registry.views()  # fill the view cache
+        a.outstanding = 4  # over-assigned: contributes nothing, not -1
+        assert registry.free_slots == 2
+        assert [view.free_slots for view in registry.views()] == [0, 2]
+        a.record_result(ok=True, instructions=1_000_000, duration=1.0)
+        assert registry.free_slots == 2
+        assert registry.views()[0].effective_speed == pytest.approx(1e6)
+        # Silence kills "a"; its slots leave the total and the views.
+        registry.heartbeat(NodeId("b"), 100.0)
+        registry.detect_failures(100.0)
+        assert registry.free_slots == 2
+        assert [view.provider_id for view in registry.views()] == ["b"]
+        # A replaced record no longer feeds the total.
+        fresh = register(registry, "a", capacity=2)
+        a.outstanding = 0
+        assert registry.free_slots == 3 + 2
+        fresh.outstanding = 3
+        assert registry.free_slots == 2
+        registry.unregister(NodeId("b"))
+        assert registry.free_slots == 0
+        assert [(v.provider_id, v.free_slots) for v in registry.views()] == [("a", 0)]

@@ -6,6 +6,8 @@ node failure fanning out to dependents, idempotent resubmits, journal
 recovery, and the batch submission helper.
 """
 
+import json
+
 import pytest
 
 from repro.broker.journal import WorkJournal, replay_journal
@@ -49,6 +51,13 @@ def diamond(workflow_id="diamond") -> WorkflowSpec:
     builder.node(SQUARE, args=[from_node("src")], node_id="left")
     builder.node(SQUARE, args=[from_node("src")], node_id="right")
     builder.node(ADD, args=[gather(["left", "right"])], node_id="sink")
+    return builder.build()
+
+
+def rival(workflow_id: str) -> WorkflowSpec:
+    """A different graph reusing ``workflow_id``."""
+    builder = WorkflowBuilder(workflow_id)
+    builder.node(SQUARE, args=[5], node_id="other")
     return builder.build()
 
 
@@ -184,6 +193,22 @@ class TestIdempotentResubmit:
         with pytest.raises(WorkflowSpecError, match="duplicate workflow id"):
             handle.result(0)
 
+    def test_finished_different_spec_same_id_rejected(self):
+        # Regression: a reused id of a *finished* workflow used to be
+        # answered with the old graph's outcome whatever the new spec.
+        simulation = build()
+        consumer = simulation.add_consumer()
+        first = consumer.submit_workflow(diamond("clash"))
+        simulation.run(max_time=1e4)
+        assert first.result(0) == {"sink": 162}
+        issued = simulation.broker.stats.executions_issued
+        handle = consumer.submit_workflow(rival("clash"))
+        simulation.run(max_time=1e4)
+        with pytest.raises(WorkflowSpecError, match="duplicate workflow id"):
+            handle.result(0)
+        assert simulation.broker.stats.executions_issued == issued
+        assert simulation.broker.stats.completions_redelivered == 0
+
     def test_resubmit_while_locally_in_flight_raises(self):
         simulation = build()
         consumer = simulation.add_consumer()
@@ -230,6 +255,49 @@ class TestJournalRecovery:
             if record.ok and record.executed_by
         ]
         assert len(executed) == len(spec.nodes)
+
+    @staticmethod
+    def _finish_and_close(path):
+        simulation = build(journal=WorkJournal(path))
+        consumer = simulation.add_consumer(name="wf-cons")
+        handle = consumer.submit_workflow(diamond("clash"))
+        simulation.run(max_time=1e4)
+        assert handle.result(0) == {"sink": 162}
+        simulation.broker.journal.close()
+
+    def test_finished_workflow_fingerprint_survives_restart(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        self._finish_and_close(path)
+        revived = build(seed=8, journal=WorkJournal(path))
+        consumer = revived.add_consumer(name="wf-cons")
+        handle = consumer.submit_workflow(rival("clash"))
+        revived.run(max_time=1e4)
+        with pytest.raises(WorkflowSpecError, match="duplicate workflow id"):
+            handle.result(0)
+        # The same graph is still answered from the recovered outcome.
+        again = consumer.submit_workflow(diamond("clash"))
+        revived.run(max_time=1e4)
+        assert again.result(0) == {"sink": 162}
+        assert revived.broker.stats.executions_issued == 0
+        revived.broker.journal.close()
+
+    def test_outcome_journalled_without_fingerprint_is_redelivered(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        self._finish_and_close(str(path))
+        # Rewrite the journal as an older broker wrote it: no fingerprint
+        # in the stored outcome.
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if record["kind"] == "wf_complete":
+                del record["outcome"]["spec_fingerprint"]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        revived = build(seed=8, journal=WorkJournal(str(path)))
+        consumer = revived.add_consumer(name="wf-cons")
+        handle = consumer.submit_workflow(rival("clash"))
+        revived.run(max_time=1e4)
+        assert handle.result(0) == {"sink": 162}
+        assert revived.broker.stats.completions_redelivered == 1
+        revived.broker.journal.close()
 
     def test_identical_workflow_memoized_from_journal(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

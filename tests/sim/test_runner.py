@@ -13,6 +13,8 @@ from repro.sim.runner import Simulation
 from repro.sim.workloads import mandelbrot, prime_count
 from repro.provider.core import ProviderConfig
 
+from tests.broker.invariants import assert_summaries_exact
+
 
 def build(seed=1, spec=None, **kwargs):
     simulation = Simulation(seed=seed, **kwargs)
@@ -180,6 +182,7 @@ class TestFailuresEndToEnd:
         simulation.run(max_time=1e4)
         assert all(f.wait(0).ok for f in futures)
         assert simulation.broker.stats.providers_failed >= 1
+        assert_summaries_exact(simulation.broker)
 
     def test_flapping_provider_recovered_via_reregistration(self):
         simulation = Simulation(
@@ -207,6 +210,7 @@ class TestFailuresEndToEnd:
         # Recovery came from crash-on-reregister, well before the 30s timeout.
         assert stop < 25.0
         assert simulation.broker.stats.executions_lost >= 1
+        assert_summaries_exact(simulation.broker)
 
     def test_no_providers_and_no_retry_budget_times_out_cleanly(self):
         simulation = Simulation(
